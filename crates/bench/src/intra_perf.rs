@@ -222,7 +222,7 @@ fn run_decode(
     prompt: &[usize],
     decode_len: usize,
     mut cache: Box<dyn KvCacheBackend>,
-    pool: Option<&WorkerPool<'_>>,
+    pool: Option<&WorkerPool<'_, '_>>,
 ) -> (f64, Vec<usize>, Vec<u32>) {
     let mut faults = NoFaults;
     let mut state = GenerationState::new();

@@ -82,4 +82,43 @@ mod tests {
         assert!(rates.lst_msb <= rates.hst_lsb);
         assert!(rates.hst_lsb <= rates.lst_lsb);
     }
+
+    #[test]
+    fn twodrp_flip_counts_fall_within_binomial_bounds() {
+        let policy = RefreshPolicy::two_dimensional_default();
+        let retention = RetentionModel::default();
+        let r = to_model_rates(policy.bit_flip_rates(&retention));
+        let mut injector = fault_injector_for_policy(&policy, &retention, 5);
+        // Reads zeros: a flipped FP16 0x0000 reads back as its flip mask
+        // unless the clamp replaced it, which the total check below rules out.
+        let words_per_group = 1u64 << 20;
+        let mut counts = [0u64; 4];
+        for _ in 0..words_per_group / 16 {
+            for (g, group) in [TokenGroup::HighScore, TokenGroup::LowScore]
+                .into_iter()
+                .enumerate()
+            {
+                let mut words = [0.0f32; 16];
+                injector.corrupt_slice(&mut words, group);
+                for mask in words.map(kelle_tensor::fp16::f32_to_f16_bits) {
+                    counts[2 * g] += u64::from((mask >> 8).count_ones());
+                    counts[2 * g + 1] += u64::from((mask & 0xFF).count_ones());
+                }
+            }
+        }
+        assert_eq!(counts.iter().sum::<u64>(), injector.stats().bits_flipped);
+        let bits = words_per_group * 8;
+        for (count, p) in counts
+            .into_iter()
+            .zip([r.hst_msb, r.hst_lsb, r.lst_msb, r.lst_lsb])
+        {
+            let mean = bits as f64 * p;
+            let sd = (bits as f64 * p * (1.0 - p)).sqrt();
+            // Two-sided 99.9 % binomial interval (normal approximation).
+            assert!(
+                (count as f64 - mean).abs() <= 3.29 * sd,
+                "{count} flips of {bits} bits at p = {p}"
+            );
+        }
+    }
 }

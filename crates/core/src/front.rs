@@ -523,14 +523,18 @@ impl KelleEngine {
                     let mut front =
                         ServingFront::new(scheduler, &mut pool, queue_capacity, stream_capacity);
                     let result = serve(&mut front);
-                    (result, front.into_outcome())
+                    let outcome = front.into_outcome();
+                    pool.shutdown();
+                    (result, outcome)
                 }
                 ExecutorKind::Stealing => {
                     let mut pool = WorkerPool::start(scope, workers);
                     let mut front =
                         ServingFront::new(scheduler, &mut pool, queue_capacity, stream_capacity);
                     let result = serve(&mut front);
-                    (result, front.into_outcome())
+                    let outcome = front.into_outcome();
+                    pool.shutdown();
+                    (result, outcome)
                 }
             }
         })

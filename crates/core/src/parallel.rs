@@ -108,7 +108,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::Scope;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Which axis of parallelism a scheduler tick fans decode compute out on
 /// (the [`SchedulerConfig::with_parallel_axis`] knob).
@@ -759,30 +759,30 @@ impl<'e> TaskQueue<WorkItem<'e>> {
 /// The pool is tied to a [`std::thread::scope`] so tasks may borrow the
 /// engine (`Session<'e>` holds `&'e KelleEngine`) without any `'static`
 /// gymnastics; dropping the pool closes the queue and the scope joins the
-/// workers.  A panic inside a task is caught on the worker, carried back,
+/// workers; the crate's own serving paths also wait for the threads to
+/// exit before they return.  A panic inside a task is caught on the worker, carried back,
 /// and resurfaced on the coordinating thread by
 /// [`execute`](StepExecutor::execute) — a crashed task can therefore never
 /// deadlock the coordinator waiting for a result that will not come.
 #[derive(Debug)]
-pub struct WorkerPool<'e> {
+pub struct WorkerPool<'scope, 'e> {
     queue: Arc<TaskQueue<WorkItem<'e>>>,
     results: Receiver<Result<TaskOutput<'e>, TaskFailure>>,
     workers: usize,
+    threads: Vec<ScopedJoinHandle<'scope, ()>>,
 }
 
-impl<'e> WorkerPool<'e> {
+impl<'scope, 'e: 'scope> WorkerPool<'scope, 'e> {
     /// Spawns `workers` (clamped to at least 1) scoped worker threads.
-    pub fn start<'scope>(scope: &'scope Scope<'scope, '_>, workers: usize) -> WorkerPool<'e>
-    where
-        'e: 'scope,
-    {
+    pub fn start(scope: &'scope Scope<'scope, '_>, workers: usize) -> Self {
         let workers = workers.max(1);
         let queue = Arc::new(TaskQueue::new());
         let (sender, results) = channel::<Result<TaskOutput<'e>, TaskFailure>>();
+        let mut threads = Vec::with_capacity(workers);
         for id in 0..workers {
             let queue: Arc<TaskQueue<WorkItem<'e>>> = Arc::clone(&queue);
             let sender: Sender<Result<TaskOutput<'e>, TaskFailure>> = sender.clone();
-            scope.spawn(move || {
+            threads.push(scope.spawn(move || {
                 while let Some(item) = queue.steal() {
                     match item {
                         WorkItem::Task(task) => {
@@ -807,18 +807,26 @@ impl<'e> WorkerPool<'e> {
                         WorkItem::Job(job) => job.run(),
                     }
                 }
-            });
+            }));
         }
         WorkerPool {
             queue,
             results,
             workers,
+            threads,
         }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Closes the queue and joins every worker thread (see
+    /// [`join_pool_threads`]).
+    pub(crate) fn shutdown(mut self) {
+        self.queue.close();
+        join_pool_threads(std::mem::take(&mut self.threads));
     }
 
     /// A fork-join [`ParallelRunner`] over this pool's workers, with the
@@ -898,7 +906,7 @@ impl<'e> ParallelRunner for PoolRunner<'e> {
     }
 }
 
-impl<'e> StepExecutor<'e> for WorkerPool<'e> {
+impl<'e> StepExecutor<'e> for WorkerPool<'_, 'e> {
     fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> Vec<TaskOutput<'e>> {
         // Resurface the first task panic so the failure mode matches
         // single-threaded serving; the full batch has been drained by then,
@@ -962,7 +970,23 @@ impl<'e> StepExecutor<'e> for WorkerPool<'e> {
     }
 }
 
-impl Drop for WorkerPool<'_> {
+/// Joins a pool's threads, re-raising a panic that escaped the per-task
+/// unwind boundaries.
+///
+/// Leaving the scope only waits for the thread closures to return, not for
+/// the threads to exit.  A thread that has not exited still holds its
+/// allocator arena, so the threads of the next pool may map fresh arenas,
+/// and a process that serves many batches grows with each such race.  A
+/// joined thread has released its arena for reuse.
+fn join_pool_threads(threads: Vec<ScopedJoinHandle<'_, ()>>) {
+    for thread in threads {
+        if let Err(cause) = thread.join() {
+            std::panic::resume_unwind(cause);
+        }
+    }
+}
+
+impl Drop for WorkerPool<'_, '_> {
     fn drop(&mut self) {
         self.queue.close();
     }
@@ -1029,25 +1053,24 @@ enum ShardReply<'e> {
 /// session-sharded, and the hint is a wall-clock knob that can never change
 /// output bits.
 #[derive(Debug)]
-pub struct StickyShardPool<'e> {
+pub struct StickyShardPool<'scope, 'e> {
     shards: Vec<Sender<ShardCommand<'e>>>,
     replies: Receiver<ShardReply<'e>>,
     workers: usize,
+    threads: Vec<ScopedJoinHandle<'scope, ()>>,
 }
 
-impl<'e> StickyShardPool<'e> {
+impl<'scope, 'e: 'scope> StickyShardPool<'scope, 'e> {
     /// Spawns `workers` (clamped to at least 1) scoped shard threads.
-    pub fn start<'scope>(scope: &'scope Scope<'scope, '_>, workers: usize) -> StickyShardPool<'e>
-    where
-        'e: 'scope,
-    {
+    pub fn start(scope: &'scope Scope<'scope, '_>, workers: usize) -> Self {
         let workers = workers.max(1);
         let (reply_sender, replies) = channel::<ShardReply<'e>>();
         let mut shards = Vec::with_capacity(workers);
+        let mut threads = Vec::with_capacity(workers);
         for shard in 0..workers {
             let (sender, commands) = channel::<ShardCommand<'e>>();
             let replies = reply_sender.clone();
-            scope.spawn(move || {
+            threads.push(scope.spawn(move || {
                 let mut resident: HashMap<usize, Session<'e>> = HashMap::new();
                 while let Ok(command) = commands.recv() {
                     match command {
@@ -1119,21 +1142,32 @@ impl<'e> StickyShardPool<'e> {
                         }
                     }
                 }
-                // Channel closed: the pool was dropped.  Parked sessions are
-                // dropped here, on the shard that owns them.
-            });
+                // Channel closed: the pool was shut down or dropped.  Parked
+                // sessions are dropped here, on the shard that owns them.
+            }));
             shards.push(sender);
         }
         StickyShardPool {
             shards,
             replies,
             workers,
+            threads,
         }
     }
 
     /// Number of shard threads.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Closes the shard channels and joins every shard thread (see
+    /// [`join_pool_threads`]).
+    pub(crate) fn shutdown(self) {
+        let StickyShardPool {
+            shards, threads, ..
+        } = self;
+        drop(shards);
+        join_pool_threads(threads);
     }
 
     /// The shard that owns request `index` — the pinning function.
@@ -1170,7 +1204,7 @@ impl<'e> StickyShardPool<'e> {
     }
 }
 
-impl<'e> StepExecutor<'e> for StickyShardPool<'e> {
+impl<'e> StepExecutor<'e> for StickyShardPool<'_, 'e> {
     fn execute(&mut self, tasks: Vec<SessionTask<'e>>) -> Vec<TaskOutput<'e>> {
         self.try_execute(tasks).into_outputs()
     }
@@ -1252,7 +1286,9 @@ pub fn serve_batch_parallel(
         for request in requests {
             scheduler.submit_with(request, &mut pool);
         }
-        scheduler.run_to_completion_streaming_with(&mut pool, on_token)
+        let outcome = scheduler.run_to_completion_streaming_with(&mut pool, on_token);
+        pool.shutdown();
+        outcome
     })
 }
 
@@ -1273,7 +1309,9 @@ pub fn try_serve_batch_parallel(
         for request in requests {
             scheduler.submit_with(request, &mut pool);
         }
-        scheduler.try_run_to_completion_streaming_with(&mut pool, on_token)
+        let outcome = scheduler.try_run_to_completion_streaming_with(&mut pool, on_token);
+        pool.shutdown();
+        outcome
     })
 }
 
@@ -1376,7 +1414,7 @@ mod tests {
     #[test]
     fn pool_runner_joins_before_returning_and_stays_reusable_after_a_panic() {
         std::thread::scope(|scope| {
-            let pool: WorkerPool<'_> = WorkerPool::start(scope, 2);
+            let pool: WorkerPool<'_, '_> = WorkerPool::start(scope, 2);
             let runner = pool.runner();
             assert_eq!(runner.lanes(), 3);
             // Jobs may borrow the caller's stack: disjoint chunks of a local.
@@ -1423,7 +1461,7 @@ mod tests {
     #[test]
     fn worker_count_is_clamped_to_one() {
         std::thread::scope(|scope| {
-            let pool: WorkerPool<'_> = WorkerPool::start(scope, 0);
+            let pool: WorkerPool<'_, '_> = WorkerPool::start(scope, 0);
             assert_eq!(pool.workers(), 1);
         });
     }
@@ -1431,7 +1469,7 @@ mod tests {
     #[test]
     fn empty_task_batch_is_a_no_op() {
         std::thread::scope(|scope| {
-            let mut pool: WorkerPool<'_> = WorkerPool::start(scope, 2);
+            let mut pool: WorkerPool<'_, '_> = WorkerPool::start(scope, 2);
             assert!(StepExecutor::execute(&mut pool, Vec::new()).is_empty());
         });
     }
@@ -1446,7 +1484,7 @@ mod tests {
         let engine = engine();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             std::thread::scope(|scope| {
-                let pool: WorkerPool<'_> = WorkerPool::start(scope, 2);
+                let pool: WorkerPool<'_, '_> = WorkerPool::start(scope, 2);
                 let mut session = engine.open_session();
                 session.prefill(&[1, 2, 3]);
                 pool.queue

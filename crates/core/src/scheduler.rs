@@ -1432,7 +1432,7 @@ impl<'e> BatchScheduler<'e> {
             if slot.generated.len() == 1 {
                 self.timings[index].first_token_tick = Some(self.tick);
             }
-            slot.trace.steps.push(step.record);
+            slot.trace.record(&step.record);
             slot.remaining -= 1;
             growths.push((slot.lease, growth));
             if let (Some(previous), Some(current)) = (slot.last_worker, worker) {

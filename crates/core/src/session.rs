@@ -775,7 +775,7 @@ impl<'e> Session<'e> {
             let step = self.decode_one();
             on_token(step.token);
             generated.push(step.token);
-            trace.steps.push(step.record);
+            trace.record(&step.record);
         }
         self.finish_turn(generated, trace, prefilled, decode_len, label, None)
     }

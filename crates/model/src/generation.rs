@@ -58,43 +58,66 @@ pub struct StepRecord {
     pub kv_entries_read: usize,
 }
 
-/// The full decode-time trace of a run.
+/// Running summary of a run's decode steps.
+///
+/// Each step is folded in by [`record`](DecodeTrace::record) as it happens,
+/// so a trace stays the same size however many steps a run decodes; serving
+/// outcomes never hold per-step records.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DecodeTrace {
-    /// One record per decode step.
-    pub steps: Vec<StepRecord>,
+    steps: usize,
+    first_position: Option<usize>,
+    peak_entries: usize,
+    final_evictions: u64,
+    recomputed_entries: usize,
+    kv_entries_read: usize,
 }
 
 impl DecodeTrace {
+    /// Folds one decode step into the summary.
+    pub fn record(&mut self, step: &StepRecord) {
+        let stats = &step.cache_stats;
+        debug_assert_eq!(
+            stats.bytes_fp16,
+            stats.shared_bytes + stats.private_bytes,
+            "cache byte split must sum at every step"
+        );
+        self.steps += 1;
+        self.first_position.get_or_insert(step.position);
+        self.peak_entries = self.peak_entries.max(stats.total_entries());
+        self.final_evictions = stats.evictions;
+        self.recomputed_entries += step.recomputed_entries;
+        self.kv_entries_read += step.kv_entries_read;
+    }
+
+    /// Number of decode steps recorded.
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Sequence position of the first recorded step, if any.
+    pub fn first_position(&self) -> Option<usize> {
+        self.first_position
+    }
+
     /// Total evictions observed at the end of the run.
     pub fn final_evictions(&self) -> u64 {
-        self.steps
-            .last()
-            .map(|s| s.cache_stats.evictions)
-            .unwrap_or(0)
+        self.final_evictions
     }
 
     /// Peak number of stored entries (KV + recompute) across the run.
     pub fn peak_entries(&self) -> usize {
-        self.steps
-            .iter()
-            .map(|s| s.cache_stats.total_entries())
-            .max()
-            .unwrap_or(0)
+        self.peak_entries
     }
 
-    /// Mean fraction of attended entries that required recomputation.
+    /// Fraction of attended entries, over the whole run, that required
+    /// recomputation.
     pub fn recompute_fraction(&self) -> f64 {
-        let (rec, total): (usize, usize) = self.steps.iter().fold((0, 0), |(r, t), s| {
-            (
-                r + s.recomputed_entries,
-                t + s.recomputed_entries + s.kv_entries_read,
-            )
-        });
+        let total = self.recomputed_entries + self.kv_entries_read;
         if total == 0 {
             0.0
         } else {
-            rec as f64 / total as f64
+            self.recomputed_entries as f64 / total as f64
         }
     }
 }
@@ -420,7 +443,7 @@ pub fn run_with(
         let step_out = decode_step(model, &mut state, forced_input, cache, faults);
         generated.push(step_out.token);
         step_probs.push(step_out.probs);
-        trace.steps.push(step_out.record);
+        trace.record(&step_out.record);
     }
 
     GenerationOutput {
@@ -473,7 +496,7 @@ pub fn run_with_via_entries(
         let choice = SurrogateModel::argmax(&logits);
         generated.push(choice);
         step_probs.push(probs);
-        trace.steps.push(StepRecord {
+        trace.record(&StepRecord {
             position,
             token: choice,
             cache_stats: cache.stats(),
@@ -538,7 +561,8 @@ mod tests {
         let out = run_reference(&m, &[1, 2, 3, 4], GenerationConfig::greedy(6));
         assert_eq!(out.generated.len(), 6);
         assert_eq!(out.step_probs.len(), 6);
-        assert_eq!(out.trace.steps.len(), 6);
+        assert_eq!(out.trace.steps(), 6);
+        assert_eq!(out.trace.first_position(), Some(4));
         assert!(out.generated.iter().all(|&t| t < 64));
     }
 

@@ -39,7 +39,7 @@ fn every_cache_policy_runs_through_the_model() {
         );
         assert_eq!(metrics.steps, 16, "policy {}", cache.name());
         assert!(metrics.mean_kl.is_finite(), "policy {}", cache.name());
-        assert_eq!(trace.steps.len(), 16);
+        assert_eq!(trace.steps(), 16);
         // The uncompressed reference policy must reproduce the reference
         // exactly; quantized full retention stays mostly faithful; budgeted
         // policies may legitimately diverge once eviction bites, so only

@@ -71,7 +71,7 @@ fn session_reuses_cache_instead_of_reprefilling() {
 
     let first = session.turn(&[1, 2, 3, 4, 5, 6, 7, 8], 4);
     assert_eq!(session.prefilled_tokens(), 8);
-    assert_eq!(first.trace.steps[0].position, 8);
+    assert_eq!(first.trace.first_position(), Some(8));
 
     let second = session.turn(&[9, 10], 4);
     assert_eq!(second.prefilled_tokens, 2);
@@ -81,7 +81,7 @@ fn session_reuses_cache_instead_of_reprefilling() {
         "only 2 more tokens were pre-filled"
     );
     // Decode resumes right after the accumulated context (8 + 4 decodes + 2).
-    assert_eq!(second.trace.steps[0].position, 14);
+    assert_eq!(second.trace.first_position(), Some(14));
     // The hardware model was charged for a 2-token prefill, not a 14-token
     // one: strictly less compute energy.  (Latency is not compared — tiny
     // incremental prefills run at worse array utilization, and both turns
